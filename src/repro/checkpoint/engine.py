@@ -437,17 +437,17 @@ class CheckpointEngine:
             self.clock.advance_us(self.costs.copy_pages_us(len(save_keys)))
             self._capture_keys = None
             self._cow_pending.clear()
-        result.image_bytes = image.nbytes
         if deferred:
             receipt = self.storage.store(image, charge_time=False)
             duration = self.costs.disk_write_us(
                 receipt.accounted_bytes, sequential=True)
             if self.storage.compress:
-                duration += self.costs.compress_us(image.nbytes)
+                duration += self.costs.compress_us(receipt.image_bytes)
             result.writeback_us = int(duration)
         else:
             receipt = self.storage.store(image, charge_time=True)
             result.writeback_us = 0  # included in the downtime instead
+        result.image_bytes = receipt.image_bytes
         result.bytes_written = receipt.accounted_bytes
         result.pages_deduped = receipt.pages_deduped
         result.dedup_bytes_saved = receipt.dedup_bytes_saved
@@ -459,7 +459,7 @@ class CheckpointEngine:
         self._m_backlog.observe(result.writeback_backlog_bytes)
         _unc, comp = self.storage.size_of(image.checkpoint_id)
         result.image_bytes_compressed = comp
-        self._recent_buffer_sizes.append(image.nbytes)
+        self._recent_buffer_sizes.append(receipt.image_bytes)
 
     def _read_live_page(self, key):
         vpid, region_start, page_index = key

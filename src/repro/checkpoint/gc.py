@@ -271,8 +271,16 @@ def thin_checkpoints(storage, history, policy, now_us, anchors=None,
         drops -= unanchored
     survivors = [cid for _ts, cid in stored if cid not in drops]
     required = required_images(storage, survivors)
-    skipped_required = tuple(sorted(drops & required))
-    drops -= required
+    skipped_required = set()
+    rejoined = drops & required
+    while rejoined:
+        # A required drop survives after all, so the images *its*
+        # directory names are required too: extend the closure with the
+        # instants that just rejoined until no drop is required.
+        skipped_required |= rejoined
+        drops -= rejoined
+        required |= required_images(storage, sorted(rejoined))
+        rejoined = drops & required
     thinned = []
     freed = 0
     last_anchor = None
@@ -299,7 +307,7 @@ def thin_checkpoints(storage, history, policy, now_us, anchors=None,
         thinned_images=tuple(thinned),
         image_bytes_freed=freed,
         tombstones=len(getattr(storage, "thinned_ids", lambda: ())()),
-        skipped_required=skipped_required,
+        skipped_required=tuple(sorted(skipped_required)),
         skipped_unanchored=tuple(sorted(set(skipped_unanchored))),
         cas_orphans_reclaimed=compaction.get("orphans_reclaimed", 0),
         extent_bytes_reclaimed=compaction.get("bytes_reclaimed", 0),

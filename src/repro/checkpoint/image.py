@@ -66,6 +66,39 @@ def _page_key_from_str(text):
     return (int(vpid), int(region_start), int(page_index))
 
 
+def _open_stream(data):
+    """Open a checkpoint stream at its leading metadata record; returns
+    ``(reader, metadata payload)`` with the reader at the page records."""
+    reader = RecordReader(data, expect_kind=STREAM_KIND_CHECKPOINT)
+    try:
+        tag, payload, _off = next(reader)
+    except StopIteration:
+        raise CheckpointError("empty checkpoint image")
+    if tag != TAG_METADATA:
+        raise CheckpointError("checkpoint image must begin with metadata")
+    return reader, payload
+
+
+def _page_records(reader):
+    """``{key: body}`` over the page records left in ``reader``: inline
+    payloads in a v2 stream, page digests in a v3 manifest."""
+    manifest_stream = reader.version == FORMAT_VERSION_MANIFEST
+    expected_tag = TAG_PAGE_REF if manifest_stream else TAG_PAGE
+    unpack_key = _PAGE_HEADER.unpack_from
+    header_size = _PAGE_HEADER.size
+    pages = {}
+    for tag, payload, _off in reader:
+        if tag != expected_tag:
+            raise CheckpointError("unexpected record tag %d in image" % tag)
+        key = unpack_key(payload)
+        body = payload[header_size:]
+        if manifest_stream and len(body) != DIGEST_SIZE:
+            raise CheckpointError(
+                "malformed digest reference for page %r" % (key,))
+        pages[key] = body
+    return pages
+
+
 class CheckpointImage:
     """One checkpoint of a container.
 
@@ -124,17 +157,24 @@ class CheckpointImage:
 
     @property
     def metadata_bytes(self):
-        return len(self._metadata_json())
+        return len(self.encode_metadata())
 
     @property
     def nbytes(self):
         """Uncompressed serialized size (approximate until serialized)."""
-        return self.metadata_bytes + self.page_bytes + 16 * len(self.pages)
+        return self.size_with(self.encode_metadata())
+
+    def size_with(self, metadata):
+        """:attr:`nbytes` given this image's already-encoded ``metadata``
+        record.  Encoding the page-location directory dominates, so the
+        write path encodes once and passes the bytes along."""
+        return len(metadata) + self.page_bytes + 16 * len(self.pages)
 
     # ------------------------------------------------------------------ #
     # Serialization
 
-    def _metadata_json(self):
+    def encode_metadata(self):
+        """The JSON metadata record: everything but the page records."""
         meta = {
             "checkpoint_id": self.checkpoint_id,
             "timestamp_us": self.timestamp_us,
@@ -168,44 +208,36 @@ class CheckpointImage:
             out[key] = digest
         return out
 
-    def serialize(self, format=FORMAT_VERSION):
+    def serialize(self, format=FORMAT_VERSION, metadata=None):
         """Encode the image as a TLV byte stream.
 
         ``format=2`` (the default) writes the whole-blob layout with page
         payloads inline; ``format=3`` writes the manifest layout with one
         digest reference per page — the caller (the storage layer) owns
         placing the payloads in the content-addressed store.
+        ``metadata`` is this image's :meth:`encode_metadata` output when
+        the caller already holds it.
         """
-        if format == FORMAT_VERSION:
-            writer = RecordWriter(kind=STREAM_KIND_CHECKPOINT)
-            writer.write(TAG_METADATA, self._metadata_json())
-            for (vpid, region_start, page_index), content in sorted(
-                    self.pages.items()):
-                header = _PAGE_HEADER.pack(vpid, region_start, page_index)
-                writer.write(TAG_PAGE, header + content)
-            return writer.getvalue()
-        if format != FORMAT_VERSION_MANIFEST:
+        if format not in (FORMAT_VERSION, FORMAT_VERSION_MANIFEST):
             raise CheckpointError("unknown image format %r" % (format,))
-        manifest = self.manifest()
-        writer = RecordWriter(kind=STREAM_KIND_CHECKPOINT,
-                              version=FORMAT_VERSION_MANIFEST)
-        writer.write(TAG_METADATA, self._metadata_json())
-        for (vpid, region_start, page_index), digest in sorted(
-                manifest.items()):
+        if metadata is None:
+            metadata = self.encode_metadata()
+        writer = RecordWriter(kind=STREAM_KIND_CHECKPOINT, version=format)
+        writer.write(TAG_METADATA, metadata)
+        if format == FORMAT_VERSION:
+            records = self.pages
+            tag = TAG_PAGE
+        else:
+            records = self.manifest()
+            tag = TAG_PAGE_REF
+        for (vpid, region_start, page_index), body in sorted(records.items()):
             header = _PAGE_HEADER.pack(vpid, region_start, page_index)
-            writer.write(TAG_PAGE_REF, header + digest)
+            writer.write(tag, header + body)
         return writer.getvalue()
 
     @classmethod
     def deserialize(cls, data):
-        reader = RecordReader(data, expect_kind=STREAM_KIND_CHECKPOINT)
-        records = iter(reader)
-        try:
-            tag, payload, _off = next(records)
-        except StopIteration:
-            raise CheckpointError("empty checkpoint image")
-        if tag != TAG_METADATA:
-            raise CheckpointError("checkpoint image must begin with metadata")
+        reader, payload = _open_stream(data)
         meta = json.loads(payload.decode("utf-8"))
         image = cls(
             checkpoint_id=meta["checkpoint_id"],
@@ -222,22 +254,24 @@ class CheckpointImage:
             for key, image_id in meta["page_locations"].items()
         }
         image.relinked_files = [tuple(item) for item in meta["relinked_files"]]
-        manifest_stream = reader.version == FORMAT_VERSION_MANIFEST
-        expected_tag = TAG_PAGE_REF if manifest_stream else TAG_PAGE
-        for tag, payload, _off in records:
-            if tag != expected_tag:
-                raise CheckpointError("unexpected record tag %d in image" % tag)
-            vpid, region_start, page_index = _PAGE_HEADER.unpack_from(payload)
-            key = (vpid, region_start, page_index)
-            body = payload[_PAGE_HEADER.size:]
-            if manifest_stream:
-                if len(body) != DIGEST_SIZE:
-                    raise CheckpointError(
-                        "malformed digest reference for page %r" % (key,))
-                image.page_digests[key] = body
-            else:
-                image.pages[key] = body
+        if reader.version == FORMAT_VERSION_MANIFEST:
+            image.page_digests = _page_records(reader)
+        else:
+            image.pages = _page_records(reader)
         return image
+
+    @staticmethod
+    def read_pages(data):
+        """The page records of a serialized image, skipping its metadata.
+
+        Returns ``(manifest, {key: body})``: with ``manifest`` True (a v3
+        stream) each body is a page digest, otherwise an inline payload.
+        Every record's checksum is still verified; the metadata record is
+        checked but never decoded, which is what makes reading an older
+        image of the chain for a few of its pages cheap.
+        """
+        reader, _metadata = _open_stream(data)
+        return reader.version == FORMAT_VERSION_MANIFEST, _page_records(reader)
 
     def __repr__(self):
         return (

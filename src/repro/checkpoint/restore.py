@@ -294,7 +294,7 @@ class ReviveManager:
         image = self.storage.load(checkpoint_id, cached=cached,
                                   metadata_only=demand_paging,
                                   clock=self.clock)
-        images = {checkpoint_id: image}
+        images_accessed = 1
         if demand_paging:
             # Only the metadata record was read at fork; page bytes are
             # accounted by the pager as faults stream them in.
@@ -352,8 +352,8 @@ class ReviveManager:
         self._map_regions(image, by_vpid)
         pager = None
         if demand_paging:
-            pager = DemandPager(self, dict(image.page_locations), images,
-                                cached)
+            pager = DemandPager(self, dict(image.page_locations),
+                                {checkpoint_id: image}, cached)
             pager.bind(by_vpid)
             for vpid, process in by_vpid.items():
                 process.address_space.set_demand_handler(
@@ -361,9 +361,9 @@ class ReviveManager:
                 )
             pages_restored, chain_bytes = 0, 0
         else:
-            pages_restored, chain_bytes = self._restore_memory(
-                image, images, by_vpid, cached
-            )
+            pages_restored, chain_images, chain_bytes = \
+                self._restore_memory(image, by_vpid, cached)
+            images_accessed += chain_images
         bytes_read += chain_bytes
 
         # Resume all processes.
@@ -387,7 +387,7 @@ class ReviveManager:
             container=container,
             checkpoint_id=checkpoint_id,
             duration_us=watch.elapsed_us,
-            images_accessed=len(images),
+            images_accessed=images_accessed,
             pages_restored=pages_restored,
             bytes_read=bytes_read,
             cached=bool(cached) if cached is not None else True,
@@ -459,40 +459,53 @@ class ReviveManager:
                     record["name"],
                 )
 
-    def _restore_memory(self, image, images, by_vpid, cached):
+    def _restore_memory(self, image, by_vpid, cached):
         """Fill every resident page, walking the incremental chain.
 
         "This process then continues reading from the current checkpoint
         image, reiterating this sequence as necessary, until the complete
         state of the desktop session has been reinstated" (section 5.2).
+        Each older image is read (and charged) in full, newest first, but
+        only for the pages the directory assigns to it
+        (:meth:`CheckpointStorage.load_pages`); pages are installed one
+        region at a time.  Returns ``(pages_restored, chain_images,
+        chain_bytes)`` for the images read besides ``image`` itself.
         """
-        # Group needed pages by the image that holds their latest copy.
+        # Needed pages grouped by the image holding their latest copy,
+        # then by the region they fill.
         by_owner = {}
         for key, owner_id in image.page_locations.items():
-            by_owner.setdefault(owner_id, []).append(key)
+            regions = by_owner.setdefault(owner_id, {})
+            regions.setdefault(key[:2], []).append(key)
 
         pages_restored = 0
+        chain_images = 0
         chain_bytes = 0
         for owner_id in sorted(by_owner, reverse=True):
-            if owner_id not in images:
-                images[owner_id] = self.storage.load(owner_id, cached=cached,
-                                                     clock=self.clock)
+            regions = by_owner[owner_id]
+            if owner_id == image.checkpoint_id:
+                pages = image.pages
+            else:
+                pages = self.storage.load_pages(
+                    owner_id, [key for keys in regions.values()
+                               for key in keys],
+                    cached=cached, clock=self.clock)
+                chain_images += 1
                 chain_bytes += self.storage.size_of(owner_id)[0]
-            owner = images[owner_id]
-            for key in by_owner[owner_id]:
-                content = owner.pages.get(key)
-                if content is None:
-                    raise ReviveError(
-                        "page %r missing from image %d" % (key, owner_id)
-                    )
-                vpid, region_start, page_index = key
-                process = by_vpid[vpid]
-                region = process.address_space.find_region(region_start)
+            for (vpid, region_start), keys in regions.items():
+                region = by_vpid[vpid].address_space.find_region(
+                    region_start)
                 if region is None:
                     raise ReviveError(
-                        "page %r references unmapped region" % (key,)
-                    )
-                region.pages[page_index] = content
-                pages_restored += 1
+                        "page %r references unmapped region" % (keys[0],))
+                installed = region.pages
+                for key in keys:
+                    content = pages.get(key)
+                    if content is None:
+                        raise ReviveError(
+                            "page %r missing from image %d" % (key, owner_id)
+                        )
+                    installed[key[2]] = content
+                pages_restored += len(keys)
         self.clock.advance_us(pages_restored * self.costs.page_restore_us)
-        return pages_restored, chain_bytes
+        return pages_restored, chain_images, chain_bytes

@@ -71,8 +71,10 @@ private CAS (the default) there is a single owner, owner visibility equals
 global visibility, and the accounting is bit-identical to the pre-fleet
 behavior.
 
-Host-side, payloads are kept zlib-compressed regardless of the
-*accounting* mode, so long experiments stay memory-friendly.
+Host-side, page payloads are kept raw whatever the *accounting* mode:
+a page's compressed length is measured once, when it is first committed,
+and recorded for accounting, but the compressed bytes are not kept.
+Only image frames (metadata plus manifest) are stored zlib-compressed.
 
 Durability: each stored manifest/blob carries a fixed-size trailer —
 magic, uncompressed length, compressed length, CRC-32 of the compressed
@@ -101,6 +103,7 @@ from repro.common.clock import VirtualClock
 from repro.common.costs import DEFAULT_COSTS
 from repro.common.errors import CheckpointError, SnapshotError
 from repro.common.faults import InjectedCrash, InjectedFault, resolve_faults
+from repro.common.serial import StreamCorrupt
 from repro.common.telemetry import resolve_telemetry
 from repro.checkpoint.image import (
     CheckpointImage,
@@ -716,13 +719,17 @@ PageCAS = ShardedPageCAS
 class StoreReceipt:
     """What one ``store`` call actually wrote (as accounted)."""
 
-    __slots__ = ("image_id", "accounted_bytes", "pages_stored",
-                 "pages_deduped", "dedup_bytes_saved")
+    __slots__ = ("image_id", "accounted_bytes", "image_bytes",
+                 "pages_stored", "pages_deduped", "dedup_bytes_saved")
 
-    def __init__(self, image_id, accounted_bytes, pages_stored=0,
-                 pages_deduped=0, dedup_bytes_saved=0):
+    def __init__(self, image_id, accounted_bytes, image_bytes=0,
+                 pages_stored=0, pages_deduped=0, dedup_bytes_saved=0):
         self.image_id = image_id
         self.accounted_bytes = accounted_bytes
+        #: The image's uncompressed serialized size
+        #: (:attr:`CheckpointImage.nbytes`), from the one metadata
+        #: encoding this store made.
+        self.image_bytes = image_bytes
         self.pages_stored = pages_stored
         self.pages_deduped = pages_deduped
         self.dedup_bytes_saved = dedup_bytes_saved
@@ -885,7 +892,8 @@ class CheckpointStorage:
 
     def _store_blob(self, image, charge_time):
         """Legacy whole-blob write path (serial format v2)."""
-        raw = image.serialize()
+        metadata = image.encode_metadata()
+        raw = image.serialize(metadata=metadata)
         blob, frame = self._frame(raw)
         mode = self.compress
         written = len(blob) if mode else len(raw)
@@ -905,7 +913,7 @@ class CheckpointStorage:
             )
         self._blobs[image_id] = frame
         self._sizes[image_id] = (len(raw), len(blob))
-        self._meta_sizes[image_id] = image.metadata_bytes
+        self._meta_sizes[image_id] = len(metadata)
         self._manifests[image_id] = ()
         self._manifest_sizes[image_id] = (len(raw), len(blob))
         self._stored_mode[image_id] = mode
@@ -915,6 +923,7 @@ class CheckpointStorage:
         # A freshly written image sits in the page cache.
         self._cached.add(image_id)
         return StoreReceipt(image_id=image_id, accounted_bytes=written,
+                            image_bytes=image.size_with(metadata),
                             pages_stored=len(image.pages))
 
     def _store_manifest(self, image, charge_time):
@@ -945,7 +954,9 @@ class CheckpointStorage:
         # Serialize the manifest from the digests just computed (no
         # second hashing pass inside serialize).
         image.page_digests = dict(manifest)
-        raw = image.serialize(format=FORMAT_VERSION_MANIFEST)
+        metadata = image.encode_metadata()
+        raw = image.serialize(format=FORMAT_VERSION_MANIFEST,
+                              metadata=metadata)
         blob, frame = self._frame(raw)
         # Dedup analysis, before any mutation.  ``ordered`` has one digest
         # per page key; a digest this owner already references (or one
@@ -1032,7 +1043,7 @@ class CheckpointStorage:
                 self.costs.disk_write_us(written, sequential=True))
         self._blobs[image_id] = frame
         self._sizes[image_id] = (raw_logical, comp_logical)
-        self._meta_sizes[image_id] = image.metadata_bytes
+        self._meta_sizes[image_id] = len(metadata)
         self._manifests[image_id] = ordered
         self._manifest_sizes[image_id] = (len(raw), len(blob))
         self._stored_mode[image_id] = mode
@@ -1059,6 +1070,7 @@ class CheckpointStorage:
         return StoreReceipt(
             image_id=image_id,
             accounted_bytes=written,
+            image_bytes=image.size_with(metadata),
             pages_stored=len(charge_new),
             pages_deduped=dup_count,
             dedup_bytes_saved=dup_saved,
@@ -1178,10 +1190,45 @@ class CheckpointStorage:
         own timeline, and must not mutate the parent's cache state (the
         branch host's page cache is not the parent's).
 
-        A torn or corrupt frame — or a manifest whose digest cannot be
-        resolved — raises :class:`CheckpointError` (after charging for
-        the attempted read; the seek still happened).
+        A torn or corrupt frame or record — or a manifest whose digest
+        cannot be resolved — raises :class:`CheckpointError` (after
+        charging for the attempted read; the seek still happened).
         """
+        image = self._read(image_id, cached, metadata_only, clock,
+                           CheckpointImage.deserialize)
+        if not metadata_only and image.page_digests and not image.pages:
+            self._check_resolvable(image_id, image.page_digests)
+            cas_pages = self.cas.pages
+            for key, digest in sorted(image.page_digests.items()):
+                image.pages[key] = cas_pages[digest]
+        return image
+
+    def load_pages(self, image_id, keys, cached=None, clock=None):
+        """Read one image for some of its pages: ``{key: payload}`` for
+        each of ``keys`` the image saved.
+
+        How revive reads an older image of the incremental chain, whose
+        metadata it never uses: the read is charged, cached and counted
+        exactly like a full :meth:`load` (the whole image is still read
+        and every record checksummed), but the metadata is not decoded,
+        no page-location directory is built, and only the requested
+        pages are fetched from the page store.  Raises
+        :class:`CheckpointError` where :meth:`load` would.
+        """
+        manifest, bodies = self._read(image_id, cached, False, clock,
+                                      CheckpointImage.read_pages)
+        if not manifest:
+            return {key: bodies[key] for key in keys if key in bodies}
+        self._check_resolvable(image_id, bodies)
+        cas_pages = self.cas.pages
+        return {key: cas_pages[bodies[key]] for key in keys if key in bodies}
+
+    def _read(self, image_id, cached, metadata_only, clock, decode):
+        """Charge one read of a stored frame and return ``decode`` of its
+        decompressed bytes.  The clock, the page cache and
+        :attr:`read_count` move the same way whatever the caller decodes;
+        contents that do not decompress or parse raise
+        :class:`CheckpointError`, never a codec error."""
         charge = clock if clock is not None else self.clock
         foreign = charge is not self.clock
         frame = self._blobs.get(image_id)
@@ -1194,7 +1241,6 @@ class CheckpointStorage:
             self.read_count += 1
             raise CheckpointError(
                 "checkpoint %d unreadable (%s)" % (image_id, reason))
-        blob = frame[:-_TRAILER.size]
         uncompressed, compressed = self._sizes[image_id]
         read_bytes = compressed if self.compress else uncompressed
         if metadata_only:
@@ -1210,16 +1256,23 @@ class CheckpointStorage:
             if not metadata_only and not foreign:
                 self._cached.add(image_id)
         self.read_count += 1
-        image = CheckpointImage.deserialize(zlib.decompress(blob))
-        if not metadata_only and image.page_digests and not image.pages:
-            for key, digest in sorted(image.page_digests.items()):
-                content = self.cas.pages.get(digest)
-                if content is None:
-                    raise CheckpointError(
-                        "checkpoint %d unreadable (missing page %r in "
-                        "page store)" % (image_id, key))
-                image.pages[key] = content
-        return image
+        try:
+            return decode(zlib.decompress(frame[:-_TRAILER.size]))
+        except (StreamCorrupt, zlib.error) as exc:
+            raise CheckpointError("checkpoint %d unreadable (%s)"
+                                  % (image_id, exc)) from exc
+
+    def _check_resolvable(self, image_id, digests):
+        """Raise unless every digest of a manifest ``{key: digest}`` has
+        a payload in the page store."""
+        cas_pages = self.cas.pages
+        if all(map(cas_pages.__contains__, digests.values())):
+            return
+        missing = min(key for key, digest in digests.items()
+                      if digest not in cas_pages)
+        raise CheckpointError(
+            "checkpoint %d unreadable (missing page %r in page store)"
+            % (image_id, missing))
 
     def cas_page(self, digest):
         """Resolve one page payload by digest (None when absent) — the

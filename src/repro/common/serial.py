@@ -133,17 +133,8 @@ class RecordWriter:
         """
         fileobj.seek(0)
         reader = RecordReader(fileobj, expect_kind=expect_kind)
-        count = 0
-        end_offset = _HEADER.size
-        while True:
-            try:
-                record = next(reader, None)
-            except StreamCorrupt:
-                break
-            if record is None:
-                break
-            count += 1
-            end_offset = fileobj.tell()
+        count = sum(1 for _record in _intact(reader))
+        end_offset = reader.tell()
         fileobj.seek(0, io.SEEK_END)
         stream_end = fileobj.tell()
         writer = cls.__new__(cls)
@@ -156,38 +147,67 @@ class RecordWriter:
         return writer, dropped, count
 
 
-def _read_record(fileobj, offset):
-    """Read and verify one record at the stream's current position."""
-    head = fileobj.read(_RECORD.size)
-    if not head:
-        return None
-    if len(head) != _RECORD.size:
-        raise StreamCorrupt("truncated record header at offset %d" % offset)
-    tag, length = _RECORD.unpack(head)
-    payload = fileobj.read(length)
-    if len(payload) != length:
-        raise StreamCorrupt("truncated record payload at offset %d" % offset)
-    trailer = fileobj.read(_CRC.size)
-    if len(trailer) != _CRC.size:
-        raise StreamCorrupt("truncated record checksum at offset %d" % offset)
-    (crc,) = _CRC.unpack(trailer)
-    if crc != zlib.crc32(head + payload):
-        raise StreamCorrupt("record checksum mismatch at offset %d" % offset)
-    return tag, payload
+def _records(data, view, pos, base, end_at=None):
+    """Yield ``(tag, payload, offset)`` for each record of ``data`` from
+    index ``pos``, verifying each checksum; raise :class:`StreamCorrupt`
+    at the first torn or corrupt record.
+
+    The one record walker behind every reader.  ``data`` is the stream's
+    bytes and ``view`` a :class:`memoryview` of them: headers and
+    trailers are unpacked in place and the CRC runs over each record's
+    header and payload where they lie, so the only copy made is the
+    payload handed out.  ``base`` is the stream offset of ``data[0]``, so
+    offsets and error messages name stream positions.  ``end_at``, a
+    one-item list, is kept at the index just past the last intact record
+    (a cell rather than the reader itself, so the walk and its reader
+    form no reference cycle and are freed as soon as they are dropped).
+    """
+    end = len(data)
+    unpack_head = _RECORD.unpack_from
+    unpack_crc = _CRC.unpack_from
+    crc32 = zlib.crc32
+    while pos < end:
+        offset = base + pos
+        body = pos + _RECORD.size
+        if body > end:
+            raise StreamCorrupt("truncated record header at offset %d"
+                                % offset)
+        tag, length = unpack_head(data, pos)
+        tail = body + length
+        if tail > end:
+            raise StreamCorrupt("truncated record payload at offset %d"
+                                % offset)
+        if tail + _CRC.size > end:
+            raise StreamCorrupt("truncated record checksum at offset %d"
+                                % offset)
+        if unpack_crc(data, tail)[0] != crc32(view[pos:tail]):
+            raise StreamCorrupt("record checksum mismatch at offset %d"
+                                % offset)
+        pos = tail + _CRC.size
+        if end_at is not None:
+            end_at[0] = pos
+        yield tag, data[body:tail], offset
 
 
 class RecordReader:
-    """Iterates TLV records from bytes or a readable binary stream."""
+    """Iterates TLV records from bytes or a readable binary stream.
+
+    A stream is read in full, from its current position, when the reader
+    is built; records are then walked in memory by offset.
+    """
 
     def __init__(self, data, expect_kind=None):
         if isinstance(data, (bytes, bytearray, memoryview)):
-            self.fileobj = io.BytesIO(bytes(data))
+            self._base = 0
         else:
-            self.fileobj = data
-        header = self.fileobj.read(_HEADER.size)
-        if len(header) != _HEADER.size:
+            self._base = data.tell()
+            data = data.read()
+        # Mutable inputs are snapshotted, as a stream read would be.
+        self._data = bytes(data)
+        self._view = memoryview(self._data)
+        if len(self._data) < _HEADER.size:
             raise StreamCorrupt("stream shorter than header")
-        magic, version, kind = _HEADER.unpack(header)
+        magic, version, kind = _HEADER.unpack_from(self._data)
         if magic != MAGIC:
             raise StreamCorrupt("bad magic %r" % (magic,))
         if version not in SUPPORTED_VERSIONS:
@@ -198,24 +218,36 @@ class RecordReader:
             )
         self.kind = kind
         self.version = version
+        self.seek_to(self._base + _HEADER.size)
 
     def __iter__(self):
-        return self
+        return self._walk
 
     def __next__(self):
         """Return the next ``(tag, payload, offset)`` triple."""
-        offset = self.fileobj.tell()
-        record = _read_record(self.fileobj, offset)
-        if record is None:
-            raise StopIteration
-        tag, payload = record
-        return tag, payload, offset
+        return next(self._walk)
+
+    def tell(self):
+        """Stream offset of the next record: after a torn or corrupt
+        record, the end of the last intact one."""
+        return self._base + self._end_at[0]
 
     def seek_to(self, offset):
         """Position the reader at a record offset previously returned by a
         writer, so iteration resumes from that record."""
-        self.fileobj.seek(offset)
+        self._end_at = [offset - self._base]
+        self._walk = _records(self._data, self._view, self._end_at[0],
+                              self._base, self._end_at)
         return self
+
+
+def _intact(reader):
+    """Records from ``reader`` up to the first torn or corrupt one."""
+    while True:
+        try:
+            yield next(reader)
+        except (StopIteration, StreamCorrupt):
+            return
 
 
 def read_at(data, offset):
@@ -226,14 +258,19 @@ def read_at(data, offset):
     via the timeline index without scanning the whole log.
     """
     if isinstance(data, (bytes, bytearray, memoryview)):
-        fileobj = io.BytesIO(bytes(data))
+        data, pos = bytes(data), offset
     else:
-        fileobj = data
-    fileobj.seek(offset)
-    record = _read_record(fileobj, offset)
+        # Only this record's bytes: its header names the rest's length.
+        data.seek(offset)
+        head = data.read(_RECORD.size)
+        rest = b""
+        if len(head) == _RECORD.size:
+            rest = data.read(_RECORD.unpack(head)[1] + _CRC.size)
+        data, pos = head + rest, 0
+    record = next(_records(data, memoryview(data), pos, offset - pos), None)
     if record is None:
         raise StreamCorrupt("no record at offset %d" % offset)
-    return record
+    return record[0], record[1]
 
 
 def scan_valid_prefix(data, expect_kind=None):
@@ -247,15 +284,5 @@ def scan_valid_prefix(data, expect_kind=None):
     invalid (nothing is salvageable then).
     """
     reader = RecordReader(data, expect_kind=expect_kind)
-    records = []
-    end_offset = _HEADER.size
-    while True:
-        try:
-            record = next(reader, None)
-        except StreamCorrupt:
-            break
-        if record is None:
-            break
-        records.append(record)
-        end_offset = reader.fileobj.tell()
-    return end_offset, records
+    records = list(_intact(reader))
+    return reader.tell(), records

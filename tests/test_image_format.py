@@ -118,7 +118,7 @@ class TestManifestFormat:
     def test_v2_stream_rejects_digest_records(self):
         image = CheckpointImage(1, 0, "x")
         writer = RecordWriter(kind=STREAM_KIND_CHECKPOINT)
-        writer.write(TAG_METADATA, image._metadata_json())
+        writer.write(TAG_METADATA, image.encode_metadata())
         writer.write(TAG_PAGE_REF, b"\x00" * (12 + DIGEST_SIZE))
         with pytest.raises(CheckpointError):
             CheckpointImage.deserialize(writer.getvalue())
@@ -127,7 +127,7 @@ class TestManifestFormat:
         image = CheckpointImage(1, 0, "x")
         writer = RecordWriter(kind=STREAM_KIND_CHECKPOINT,
                               version=FORMAT_VERSION_MANIFEST)
-        writer.write(TAG_METADATA, image._metadata_json())
+        writer.write(TAG_METADATA, image.encode_metadata())
         writer.write(TAG_PAGE, b"\x00" * 80)
         with pytest.raises(CheckpointError):
             CheckpointImage.deserialize(writer.getvalue())
@@ -136,7 +136,7 @@ class TestManifestFormat:
         image = CheckpointImage(1, 0, "x")
         writer = RecordWriter(kind=STREAM_KIND_CHECKPOINT,
                               version=FORMAT_VERSION_MANIFEST)
-        writer.write(TAG_METADATA, image._metadata_json())
+        writer.write(TAG_METADATA, image.encode_metadata())
         writer.write(TAG_PAGE_REF, b"\x00" * (12 + DIGEST_SIZE - 1))
         with pytest.raises(CheckpointError):
             CheckpointImage.deserialize(writer.getvalue())
@@ -200,7 +200,7 @@ class TestCorruption:
     def test_unknown_tag_rejected(self):
         image = CheckpointImage(1, 0, "x")
         writer = RecordWriter(kind=STREAM_KIND_CHECKPOINT)
-        writer.write(TAG_METADATA, image._metadata_json())
+        writer.write(TAG_METADATA, image.encode_metadata())
         writer.write(99, b"junk")
         with pytest.raises(CheckpointError):
             CheckpointImage.deserialize(writer.getvalue())

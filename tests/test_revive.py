@@ -1,11 +1,16 @@
 """Integration tests for revive (section 5.2)."""
 
+import re
+import zlib
+
 import pytest
 
 from repro.common.costs import PAGE_SIZE
 from repro.common.errors import CheckpointError
 from repro.checkpoint.engine import EngineOptions
 from repro.checkpoint.restore import ReviveManager
+from repro.checkpoint.storage import _TRAILER, TRAILER_MAGIC
+from repro.replay.replayer import record_scenario
 from repro.vex.process import ProcessState
 from repro.vex.sockets import Socket, SocketState
 
@@ -263,3 +268,116 @@ class TestReviveLatency:
         result = manager.revive(1, cached=False)
         assert result.bytes_read > 0
         assert result.processes == 3
+
+
+def _reframe_flipped(storage, image_id, index=-5):
+    """Flip one byte of an image's decompressed stream (by default the
+    last byte of its last record's payload) and store it re-framed with a
+    valid trailer: damage only the record checksums can see."""
+    frame = storage._blobs[image_id]
+    raw = bytearray(zlib.decompress(frame[:-_TRAILER.size]))
+    raw[index] ^= 0xFF
+    storage._blobs[image_id] = storage._frame(bytes(raw))[1]
+
+
+class TestCorruptRecordContract:
+    """A frame whose trailer verifies but which holds a record with a bad
+    checksum (or bytes that do not decompress) is an unreadable
+    checkpoint: the read path raises :class:`CheckpointError`, never a
+    codec error, so *Take me back* falls back past it."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        # Shared: each test below damages a different stored image.
+        return record_scenario("desktop", units=60)
+
+    def test_take_me_back_falls_back_past_bad_chain_record(self):
+        dejaview = record_scenario("desktop", units=60).dejaview
+        storage = dejaview.storage
+        target = dejaview.engine.history[-1]
+        image = storage.load(target.checkpoint_id, cached=True)
+        chain_id = max(owner for owner in image.page_locations.values()
+                       if owner != target.checkpoint_id)
+        _reframe_flipped(storage, chain_id)
+        assert storage.blob_ok(chain_id)[0]
+        fallbacks = dejaview.telemetry.metrics.counter("revive.fallbacks")
+        before = fallbacks.value
+        revived = dejaview.take_me_back(target.timestamp_us)
+        assert revived.checkpoint_id < chain_id
+        assert fallbacks.value - before == \
+            target.checkpoint_id - revived.checkpoint_id
+
+    def test_load_and_load_pages_raise_checkpoint_error(self, recorded):
+        storage = recorded.dejaview.storage
+        image_id = storage.stored_ids()[0]
+        keys = list(storage.load(image_id, cached=True).page_digests)
+        _reframe_flipped(storage, image_id)
+        reads = storage.read_count
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            storage.load(image_id)
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            storage.load_pages(image_id, keys)
+        assert storage.read_count == reads + 2
+
+    def test_undecompressable_frame_raises_checkpoint_error(self, recorded):
+        storage = recorded.dejaview.storage
+        image_id = storage.stored_ids()[1]
+        blob = b"not a zlib stream"
+        storage._blobs[image_id] = blob + _TRAILER.pack(
+            TRAILER_MAGIC, len(blob), len(blob), zlib.crc32(blob))
+        assert storage.blob_ok(image_id)[0]
+        with pytest.raises(CheckpointError, match="unreadable"):
+            storage.load(image_id)
+        with pytest.raises(CheckpointError, match="unreadable"):
+            storage.load_pages(image_id, [])
+
+    def test_unresolvable_digest_raises_checkpoint_error(self, recorded):
+        storage = recorded.dejaview.storage
+        image_id = storage.stored_ids()[2]
+        image = storage.load(image_id, cached=True)
+        key = max(image.page_digests)
+        digest = image.page_digests[key]
+        payload = storage.cas.pages.pop(digest)
+        message = "missing page %r in page store" % (key,)
+        try:
+            with pytest.raises(CheckpointError, match=re.escape(message)):
+                storage.load(image_id)
+            with pytest.raises(CheckpointError, match=re.escape(message)):
+                storage.load_pages(image_id, [])
+        finally:
+            # Other images of the shared recording may hold this page.
+            storage.cas.pages[digest] = payload
+
+
+class TestLoadPages:
+    """The chain read revive uses for older images: the requested pages
+    of one image, charged exactly like a full load."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return record_scenario("desktop", units=30)
+
+    def test_pages_match_full_load(self, recorded):
+        storage = recorded.dejaview.storage
+        for image_id in storage.stored_ids():
+            image = storage.load(image_id, cached=True)
+            keys = sorted(image.pages)[::3] + [(0, 0, 0)]
+            pages = storage.load_pages(image_id, keys, cached=True)
+            assert pages == {key: image.pages[key] for key in keys[:-1]}
+
+    @pytest.mark.parametrize("cached", [False, True, None])
+    def test_charged_like_load(self, recorded, cached):
+        storage = recorded.dejaview.storage
+        clock = storage.clock
+        image_id = storage.stored_ids()[-1]
+        charges = []
+        for read in (lambda: storage.load(image_id, cached=cached),
+                     lambda: storage.load_pages(image_id, [],
+                                                cached=cached)):
+            storage.evict_all()
+            before = (clock.now_us, storage.read_count)
+            read()
+            charges.append((clock.now_us - before[0],
+                            storage.read_count - before[1],
+                            storage.is_cached(image_id)))
+        assert charges[0] == charges[1]

@@ -11,6 +11,7 @@ from repro.common.serial import (
     RecordWriter,
     StreamCorrupt,
     read_at,
+    scan_valid_prefix,
 )
 
 
@@ -155,3 +156,34 @@ class TestResume:
             RecordWriter.resume(buf, expect_kind=10)
         with pytest.raises(StreamCorrupt):
             RecordWriter.resume(io.BytesIO(b"not a stream at all"))
+
+
+class TestStreamInput:
+    """Bytes and seekable streams read through the same walker: same
+    records, same offsets, same errors."""
+
+    def _data(self):
+        writer = RecordWriter(kind=4)
+        offsets = [writer.write(tag, b"p" * (tag * 7)) for tag in (1, 2, 3)]
+        return writer.getvalue(), offsets
+
+    def test_read_at_stream_matches_bytes(self):
+        data, offsets = self._data()
+        for offset in offsets:
+            assert read_at(io.BytesIO(data), offset) == read_at(data, offset)
+        with pytest.raises(StreamCorrupt, match="no record at offset"):
+            read_at(io.BytesIO(data), len(data))
+
+    def test_corrupt_record_reported_at_its_offset(self):
+        data, offsets = self._data()
+        damaged = bytearray(data)
+        damaged[offsets[1] + 10] ^= 0xFF
+        message = "record checksum mismatch at offset %d" % offsets[1]
+        for source in (bytes(damaged), io.BytesIO(bytes(damaged))):
+            with pytest.raises(StreamCorrupt, match=message):
+                list(RecordReader(source))
+        for source in (damaged, io.BytesIO(bytes(damaged))):
+            with pytest.raises(StreamCorrupt, match=message):
+                read_at(source, offsets[1])
+        end, records = scan_valid_prefix(bytes(damaged))
+        assert (end, len(records)) == (offsets[1], 1)

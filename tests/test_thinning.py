@@ -33,6 +33,7 @@ from repro.desktop.session import DesktopSession
 from repro.display.commands import Region
 from repro.display.recorder import RecorderConfig
 from repro.replay import RecordingTap, anchor_ids, prepare_events
+from repro.replay.replayer import record_scenario
 
 from tests.faulthelpers import COLORS
 
@@ -331,6 +332,31 @@ class TestNeverThinned:
         revived = branch.dejaview.take_me_back(
             branch.session.clock.now_us)
         assert revived.container.live_processes()
+
+
+class TestDesktopChainThinning:
+    """Regression: on a desktop recording, incremental images read pages
+    from up to three other images (two-hop chains).  Thinning must close
+    the survivors' required set over every instant it re-adds, or a
+    survivor is left reading pages from a tombstone."""
+
+    def test_survivors_verify_and_revive_stored(self):
+        recorded = record_scenario("desktop", units=90)
+        dejaview = recorded.dejaview
+        storage = dejaview.storage
+        report = dejaview.thin_checkpoints()
+        assert report.thinned_images
+        assert report.skipped_required
+        assert verify_chain(storage, recorded.session.fsstore).ok
+        fallbacks = dejaview.telemetry.metrics.counter("revive.fallbacks")
+        before = fallbacks.value
+        for record in dejaview.engine.history:
+            if storage.is_thinned(record.checkpoint_id):
+                continue
+            revived = dejaview.take_me_back(record.timestamp_us)
+            assert revived.checkpoint_id == record.checkpoint_id
+            assert not revived.replayed
+        assert fallbacks.value == before
 
 
 class TestThinnedTakeMeBack:
